@@ -9,12 +9,14 @@
 //! hand-rolled on `std` (raw syscalls where the platform demands them).
 //! What makes the service worth running is the shared
 //! [`Harness`](fdip_sim::harness::Harness): every request is answered
-//! through the process-global trace store and content-keyed cell cache,
-//! so a warm server answers repeated and overlapping experiment queries
-//! orders of magnitude faster than cold simulation, and concurrent
-//! identical requests coalesce — at the harness *and*, since the event
-//! loop, at the HTTP layer, where byte-identical in-flight `/v1/run`
-//! requests share a single simulation and response.
+//! through the process-global content-keyed cell cache (trace
+//! instructions are held only while a request simulates them; a repeat
+//! reads the trace's kept summary), so a warm server answers repeated and
+//! overlapping experiment queries orders of magnitude faster than cold
+//! simulation, and concurrent identical requests coalesce — at the
+//! harness *and*, since the event loop, at the HTTP layer, where
+//! byte-identical in-flight `/v1/run` requests share a single simulation
+//! and response.
 //!
 //! # Architecture
 //!

@@ -6,13 +6,14 @@
 //! `# HELP`/`# TYPE` preambles, one sample per line. The harness cache
 //! counters (trace/cell hits, misses, in-flight shares) are folded in from
 //! [`HarnessStats`] so a scrape shows how much simulation work requests
-//! are actually causing versus serving from cache.
+//! are actually causing versus serving from cache, and the trace store's
+//! [`RetainedTraces`] gauges show the instruction memory it still holds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use fdip_sim::harness::HarnessStats;
+use fdip_sim::harness::{HarnessStats, RetainedTraces};
 
 /// The status codes this server can emit (the label set of
 /// `requests_total`). Keeping the set closed lets the counters live in a
@@ -113,13 +114,15 @@ impl Metrics {
 
     /// Renders the Prometheus text document. `queue_depth` and
     /// `queue_capacity` come from the live queue; `harness` is the shared
-    /// harness's counter snapshot; `node_health` is the fleet's per-node
-    /// health snapshot (empty without a fleet).
+    /// harness's counter snapshot and `retained` its trace store's held
+    /// instructions; `node_health` is the fleet's per-node health snapshot
+    /// (empty without a fleet).
     pub fn render(
         &self,
         queue_depth: usize,
         queue_capacity: usize,
         harness: &HarnessStats,
+        retained: &RetainedTraces,
         node_health: &[(String, &'static str)],
     ) -> String {
         use std::fmt::Write;
@@ -345,6 +348,17 @@ impl Metrics {
 
         let _ = write!(
             out,
+            "# HELP fdip_serve_harness_trace_bytes Trace instruction bytes the harness store holds.\n\
+             # TYPE fdip_serve_harness_trace_bytes gauge\n\
+             fdip_serve_harness_trace_bytes {}\n\
+             # HELP fdip_serve_harness_traces_retained Traces whose instructions the harness store holds.\n\
+             # TYPE fdip_serve_harness_traces_retained gauge\n\
+             fdip_serve_harness_traces_retained {}\n",
+            retained.bytes, retained.traces
+        );
+
+        let _ = write!(
+            out,
             "# HELP fdip_serve_fleet_workers Worker seats across connected fleet nodes.\n\
              # TYPE fdip_serve_fleet_workers gauge\n\
              fdip_serve_fleet_workers {}\n",
@@ -420,7 +434,11 @@ mod tests {
             ("127.0.0.1:9001".to_string(), "healthy"),
             ("127.0.0.1:9002".to_string(), "lost"),
         ];
-        let text = m.render(2, 64, &harness, &nodes);
+        let retained = RetainedTraces {
+            traces: 19,
+            bytes: 20,
+        };
+        let text = m.render(2, 64, &harness, &retained, &nodes);
         assert!(
             text.contains("fdip_serve_requests_total{status=\"200\"} 2"),
             "{text}"
@@ -454,6 +472,8 @@ mod tests {
         assert!(text.contains("fdip_serve_node_readmissions_total 16"));
         assert!(text.contains("fdip_serve_cells_hedged_total 17"));
         assert!(text.contains("fdip_serve_hedge_wins_total 18"));
+        assert!(text.contains("fdip_serve_harness_traces_retained 19"));
+        assert!(text.contains("fdip_serve_harness_trace_bytes 20"));
         // One-hot health: each node's current state is 1, the rest 0.
         assert!(text.contains(
             "fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"healthy\"} 1"

@@ -4,15 +4,18 @@
 //! attacker-shaped, so every parse returns an [`ApiError`] (rendered as a
 //! JSON error document with the right status) and no handler path may
 //! panic or index blindly. Simulation is sourced exclusively through the
-//! process-global [`Harness`], so concurrent and repeated requests share
-//! traces and finished cells instead of recomputing them.
+//! service's [`Harness`] (the process-global one unless a caller supplies
+//! its own), so concurrent and repeated requests share finished cells
+//! instead of recomputing them. Trace instructions are request-scoped:
+//! each handler releases its trace once its matrix is done, and a repeat
+//! is answered from the cell cache and the trace's kept summary.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fdip::{spec, FrontendConfig};
 use fdip_sim::experiments::{self, RESULTS_SCHEMA_VERSION};
-use fdip_sim::harness::Harness;
+use fdip_sim::harness::{Harness, MatrixResults};
 use fdip_sim::workload::{WorkloadSource, WorkloadSpec};
 use fdip_trace::gen::Profile;
 use fdip_types::{Json, ToJson};
@@ -144,10 +147,21 @@ pub struct Service {
 impl Service {
     /// A service over the process-global harness.
     pub fn new(config: ServeConfig, metrics: Arc<Metrics>) -> Service {
+        Service::with_harness(config, metrics, Harness::global())
+    }
+
+    /// A service over `harness` instead of the process-global one, so its
+    /// fault plan, counters and caches are not shared with other users of
+    /// the global harness.
+    pub fn with_harness(
+        config: ServeConfig,
+        metrics: Arc<Metrics>,
+        harness: &'static Harness,
+    ) -> Service {
         Service {
             config,
             metrics,
-            harness: Harness::global(),
+            harness,
         }
     }
 
@@ -173,6 +187,7 @@ impl Service {
                     queue_depth,
                     self.config.queue_depth,
                     &self.harness.stats(),
+                    &self.harness.retained_traces(),
                     &self.harness.fleet_node_health(),
                 ),
             ),
@@ -201,9 +216,7 @@ impl Service {
         };
 
         let configs = vec![("run".to_string(), config)];
-        let results = self
-            .harness
-            .run_matrix(std::slice::from_ref(&spec), trace_len, &configs);
+        let results = self.run_matrix(&spec, trace_len, &configs);
         // `get`, never `cell`: a missing cell must surface as a JSON 500,
         // not a panic that kills the worker.
         let cell = results
@@ -261,9 +274,7 @@ impl Service {
             configs.push((label, parse_config(raw)?));
         }
 
-        let results = self
-            .harness
-            .run_matrix(std::slice::from_ref(&spec), trace_len, &configs);
+        let results = self.run_matrix(&spec, trace_len, &configs);
         let baseline = results
             .get(&spec.name, "baseline")
             .ok_or_else(|| ApiError::internal("baseline cell missing from results"))?;
@@ -317,6 +328,22 @@ impl Service {
             ("harness", self.harness.stats().to_json()),
         ]);
         Ok(Response::json(200, body.to_string()))
+    }
+
+    /// One request's matrix over `spec`. The trace's instructions are not
+    /// kept past it: request traffic is dominated by fresh seeds, and a
+    /// repeat is a cell hit that needs only the kept summary.
+    fn run_matrix(
+        &self,
+        spec: &WorkloadSpec,
+        trace_len: usize,
+        configs: &[(String, FrontendConfig)],
+    ) -> MatrixResults {
+        let results = self
+            .harness
+            .run_matrix(std::slice::from_ref(spec), trace_len, configs);
+        self.harness.release_trace(spec, trace_len);
+        results
     }
 
     /// `GET /v1/experiments/{id}` — a persisted `results/` document.
@@ -565,14 +592,27 @@ fn parse_config(raw: &Json) -> ApiResult<FrontendConfig> {
 mod tests {
     use super::*;
     use crate::http::Request;
+    use fdip_sim::harness::RetainedTraces;
 
     fn service() -> Service {
-        service_in("shared")
+        service_on(private_harness())
+    }
+
+    /// A harness no other test shares, so fault plans and counters stay
+    /// the test's own. A service borrows its harness for `'static`, hence
+    /// the leak; requests keep no trace instructions, so each costs the
+    /// test binary a few summaries and cell statistics.
+    fn private_harness() -> &'static Harness {
+        Box::leak(Box::new(Harness::new()))
+    }
+
+    fn service_on(harness: &'static Harness) -> Service {
+        service_in("shared", harness)
     }
 
     /// A service whose results dir is private to `tag` (tests that write
     /// documents must not race each other).
-    fn service_in(tag: &str) -> Service {
+    fn service_in(tag: &str, harness: &'static Harness) -> Service {
         let dir = std::env::temp_dir().join(format!("fdip-serve-service-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
@@ -580,7 +620,15 @@ mod tests {
             results_dir: dir,
             ..ServeConfig::default()
         };
-        Service::new(config, Arc::new(Metrics::default()))
+        Service::with_harness(config, Arc::new(Metrics::default()), harness)
+    }
+
+    /// The response body up to the trailing harness counter snapshot,
+    /// which differs between any two requests.
+    fn body_before_harness(resp: &Response) -> String {
+        let body = body_str(resp);
+        let end = body.find(",\"harness\":").unwrap_or(body.len());
+        body[..end].to_string()
     }
 
     fn post(path: &str, body: &str) -> Request {
@@ -772,7 +820,7 @@ mod tests {
 
     #[test]
     fn experiments_endpoint_validates_through_the_registry() {
-        let s = service_in("registry");
+        let s = service_in("registry", private_harness());
         // Unknown id: 404 listing valid ids, and no filesystem access at
         // all for traversal-shaped input.
         for id in ["zz", "../../etc/passwd", "x2/../x3", ""] {
@@ -788,7 +836,7 @@ mod tests {
 
     #[test]
     fn experiments_endpoint_serves_schema_checked_documents() {
-        let s = service_in("documents");
+        let s = service_in("documents", private_harness());
         let dir = s.config().results_dir.clone();
         std::fs::write(
             dir.join("e01.json"),
@@ -814,10 +862,8 @@ mod tests {
     #[test]
     fn failed_cells_become_structured_502s() {
         use fdip_sim::fault::FaultPlan;
-        let s = service();
-        let harness = Harness::global();
-        // Coordinates pin the plan to seeds no other test uses, so the
-        // plan cannot fire for tests sharing the global harness.
+        let harness = private_harness();
+        let s = service_on(harness);
         harness.set_fault_plan(Some(
             FaultPlan::parse("panic@microloop~s404/run,panic@microloop~s405/baseline").unwrap(),
         ));
@@ -837,7 +883,6 @@ mod tests {
             ),
             0,
         );
-        harness.set_fault_plan(None);
 
         assert_eq!(run.status, 502, "{}", body_str(&run));
         let doc = Json::parse(&body_str(&run)).unwrap();
@@ -857,8 +902,8 @@ mod tests {
     #[test]
     fn compare_marks_failed_candidates_without_failing_the_request() {
         use fdip_sim::fault::FaultPlan;
-        let s = service();
-        let harness = Harness::global();
+        let harness = private_harness();
+        let s = service_on(harness);
         harness.set_fault_plan(Some(FaultPlan::parse("panic@microloop~s406/bad").unwrap()));
         let resp = s.route(
             &post(
@@ -870,7 +915,6 @@ mod tests {
             ),
             0,
         );
-        harness.set_fault_plan(None);
         assert_eq!(resp.status, 200, "{}", body_str(&resp));
         let doc = Json::parse(&body_str(&resp)).unwrap();
         let rows = doc.get("results").and_then(Json::as_array).unwrap();
@@ -954,18 +998,82 @@ mod tests {
 
     #[test]
     fn identical_requests_hit_the_cell_cache() {
-        let s = service();
+        let harness = private_harness();
+        let s = service_on(harness);
         let body = r#"{"workload": {"profile": "microloop", "seed": 77},
                        "trace_len": 1200}"#;
         let first = s.route(&post("/v1/run", body), 0);
         assert_eq!(first.status, 200);
-        let before = Harness::global().stats();
+        let before = harness.stats();
         let second = s.route(&post("/v1/run", body), 0);
         assert_eq!(second.status, 200);
-        let after = Harness::global().stats();
-        // The repeat simulated nothing new.
+        let after = harness.stats();
+        // The repeat simulated nothing and, with the first request's
+        // instructions released, generated nothing: a hit needs only the
+        // trace's summary.
         assert_eq!(after.cells_simulated, before.cells_simulated);
         assert_eq!(after.traces_generated, before.traces_generated);
-        assert!(after.cell_hits > before.cell_hits);
+        assert_eq!(after.cell_hits, before.cell_hits + 1);
+        assert_eq!(harness.retained_traces(), RetainedTraces::default());
+        assert_eq!(body_before_harness(&first), body_before_harness(&second));
+    }
+
+    #[test]
+    fn cold_requests_leave_no_trace_instructions_behind() {
+        let harness = private_harness();
+        let s = service_on(harness);
+        for seed in 0..50 {
+            let body = format!(
+                r#"{{"workload": {{"profile": "microloop", "seed": {}}}, "trace_len": 1000}}"#,
+                2_000 + seed
+            );
+            assert_eq!(s.route(&post("/v1/run", &body), 0).status, 200);
+        }
+        let compare = s.route(
+            &post(
+                "/v1/compare",
+                r#"{"workload": {"profile": "microloop", "seed": 2050},
+                   "trace_len": 1000,
+                   "configs": [{"label": "fdip", "prefetcher": "fdip"}]}"#,
+            ),
+            0,
+        );
+        assert_eq!(compare.status, 200, "{}", body_str(&compare));
+        assert_eq!(harness.stats().traces_generated, 51);
+        assert_eq!(harness.retained_traces(), RetainedTraces::default());
+        let metrics = body_str(&s.route(&get("/metrics"), 0));
+        assert!(
+            metrics.contains("fdip_serve_harness_trace_bytes 0\n"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("fdip_serve_harness_traces_retained 0\n"),
+            "{metrics}"
+        );
+    }
+
+    #[test]
+    fn a_new_config_on_a_released_seed_regenerates_the_same_trace() {
+        let harness = private_harness();
+        let s = service_on(harness);
+        let run = |config: &str| {
+            format!(
+                r#"{{"workload": {{"profile": "microloop", "seed": 88}}, "trace_len": 1500, "config": {config}}}"#
+            )
+        };
+        let fdip = run(r#"{"prefetcher": "fdip"}"#);
+        assert_eq!(s.route(&post("/v1/run", &run("{}")), 0).status, 200);
+        let again = s.route(&post("/v1/run", &fdip), 0);
+        assert_eq!(again.status, 200, "{}", body_str(&again));
+        // The seed's instructions were released after the first request,
+        // so the second generated them again, from the kept summary's
+        // spec, and released them in turn.
+        assert_eq!(harness.stats().traces_generated, 2);
+        assert_eq!(harness.retained_traces(), RetainedTraces::default());
+
+        let fresh = service();
+        let reference = fresh.route(&post("/v1/run", &fdip), 0);
+        assert_eq!(reference.status, 200);
+        assert_eq!(body_before_harness(&again), body_before_harness(&reference));
     }
 }

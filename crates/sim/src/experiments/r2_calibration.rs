@@ -75,8 +75,8 @@ fn run_with(harness: &Harness, scale: Scale) -> ExperimentResult {
     );
     for (kind, specs) in populations(scale) {
         for w in &specs {
-            let entry = harness.trace(w, scale.trace_len);
-            let s = &entry.stats;
+            let summary = harness.trace_summary(w, scale.trace_len);
+            let s = &summary.stats;
             let total = s.mix.total().max(1) as f64;
             let frac = |c: BranchClass| s.mix.count(c) as f64 / total;
             mix.row([

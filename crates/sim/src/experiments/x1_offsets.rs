@@ -51,8 +51,8 @@ fn run_with(harness: &Harness, scale: Scale) -> ExperimentResult {
         &["bits", "fraction"],
     );
     for (index, w) in workloads.iter().enumerate() {
-        let entry = harness.trace(w, scale.trace_len);
-        let stats = &entry.stats;
+        let summary = harness.trace_summary(w, scale.trace_len);
+        let stats = &summary.stats;
         let c8 = stats.offsets.cumulative_fraction(8);
         let c13 = stats.offsets.cumulative_fraction(13);
         let c23 = stats.offsets.cumulative_fraction(23);

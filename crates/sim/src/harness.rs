@@ -10,7 +10,12 @@
 //! work structurally impossible within a process:
 //!
 //! * the **trace store** generates each `(workload, trace_len)` trace at
-//!   most once and shares it as an [`Arc<TraceEntry>`];
+//!   most once and shares it as an [`Arc<TraceEntry>`]. Each entry keeps a
+//!   permanent [`TraceSummary`] (spec and statistics), which is all a
+//!   cell-cache hit reads; a caller that will not reuse the instructions
+//!   (the server, after each request) drops them with
+//!   [`Harness::release_trace`], and only a later simulation of that trace
+//!   generates them again;
 //! * the **cell cache** keys finished simulations by *content* — workload
 //!   name, trace length, and the config's full debug rendering — so a
 //!   config reused under a different label (every experiment names the
@@ -101,16 +106,35 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A generated trace plus its one-pass characterization, shared read-only
-/// across every experiment in the process.
+/// The permanent half of a trace-store entry: what a cell-cache hit needs
+/// to build its [`RunResult`], without the instructions.
 #[derive(Debug)]
-pub struct TraceEntry {
+pub struct TraceSummary {
     /// The workload this trace realizes.
     pub spec: WorkloadSpec,
+    /// The trace's one-pass characterization.
+    pub stats: TraceStats,
+}
+
+/// A generated trace plus its summary, shared read-only by every cell
+/// that simulates it.
+#[derive(Debug)]
+pub struct TraceEntry {
+    /// Spec and measured statistics, kept by the store after the
+    /// instructions are released.
+    pub summary: Arc<TraceSummary>,
     /// The generated trace.
     pub trace: Trace,
-    /// Its measured statistics.
-    pub stats: TraceStats,
+}
+
+/// The instructions the trace store currently holds (see
+/// [`Harness::retained_traces`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RetainedTraces {
+    /// Traces whose instructions the store holds.
+    pub traces: u64,
+    /// Their instruction bytes.
+    pub bytes: u64,
 }
 
 /// Snapshot of the harness's cache and fault counters.
@@ -123,9 +147,12 @@ pub struct TraceEntry {
 /// (in-flight coalescing).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HarnessStats {
-    /// Traces actually generated (trace-store misses).
+    /// Traces actually generated (trace-store misses), counting each
+    /// regeneration of released instructions.
     pub traces_generated: u64,
-    /// Trace requests served from the store after generation finished.
+    /// Trace requests served from the store after generation finished:
+    /// simulations that found the instructions held, and cell-cache hits
+    /// and characterization reads, which need only the summary.
     pub trace_hits: u64,
     /// Trace requests coalesced onto another thread's in-flight generation.
     pub traces_shared: u64,
@@ -229,6 +256,17 @@ type CellKey = (String, usize, String);
 
 type Slot<T> = Arc<OnceLock<T>>;
 
+/// One trace-store entry. The summary is set by the first generation and
+/// kept for the life of the harness; the instructions sit in a once-cell
+/// that [`Harness::release_trace`] swaps for an empty one, so the next
+/// request that needs them generates them again while requests already
+/// holding the old entry keep their own `Arc`.
+#[derive(Debug, Default)]
+struct TraceSlot {
+    summary: OnceLock<Arc<TraceSummary>>,
+    instrs: Mutex<Slot<Arc<TraceEntry>>>,
+}
+
 /// Lifecycle of one cell-cache slot. Unlike the trace store's `OnceLock`,
 /// a cell compute can *fail*, so the slot is an explicit state machine: a
 /// failed compute resets to `Idle` (failures are never cached) and wakes
@@ -253,7 +291,7 @@ struct CellSlot {
 /// The process-wide experiment execution engine. See the module docs.
 #[derive(Default)]
 pub struct Harness {
-    traces: Mutex<HashMap<TraceKey, Slot<Arc<TraceEntry>>>>,
+    traces: Mutex<HashMap<TraceKey, Arc<TraceSlot>>>,
     cells: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
     /// Worker-thread override; `None` means `available_parallelism()`.
     threads: Option<usize>,
@@ -506,31 +544,41 @@ impl Harness {
         *lock(&self.journal) = None;
     }
 
+    fn trace_slot(&self, spec: &WorkloadSpec, trace_len: usize) -> Arc<TraceSlot> {
+        let mut map = lock(&self.traces);
+        map.entry((spec.name.clone(), trace_len))
+            .or_default()
+            .clone()
+    }
+
     /// The trace for `spec` at `trace_len`, generating it on first request
-    /// and sharing the same allocation afterwards.
+    /// (or first request after [`release_trace`](Self::release_trace)) and
+    /// sharing the same allocation otherwise.
     ///
     /// Concurrent first requests are deduplicated: exactly one caller
     /// generates, the rest block on the same slot and then share it.
     pub fn trace(&self, spec: &WorkloadSpec, trace_len: usize) -> Arc<TraceEntry> {
-        let slot = {
-            let mut map = lock(&self.traces);
-            map.entry((spec.name.clone(), trace_len))
-                .or_default()
-                .clone()
-        };
+        let slot = self.trace_slot(spec, trace_len);
+        let instrs = lock(&slot.instrs).clone();
         // A slot that is already populated is a plain hit; an empty slot we
         // end up not initializing means we blocked on a concurrent
         // generation and shared its result.
-        let finished_before = slot.get().is_some();
+        let finished_before = instrs.get().is_some();
         let mut computed = false;
-        let entry = slot.get_or_init(|| {
+        let entry = instrs.get_or_init(|| {
             computed = true;
             let trace = spec.generate(trace_len);
-            let stats = TraceStats::measure(&trace);
+            // A regeneration reuses the kept summary: the trace is a pure
+            // function of (spec, trace_len).
+            let summary = slot.summary.get_or_init(|| {
+                Arc::new(TraceSummary {
+                    spec: spec.clone(),
+                    stats: TraceStats::measure(&trace),
+                })
+            });
             Arc::new(TraceEntry {
-                spec: spec.clone(),
+                summary: Arc::clone(summary),
                 trace,
-                stats,
             })
         });
         let counter = if computed {
@@ -544,25 +592,85 @@ impl Harness {
         Arc::clone(entry)
     }
 
+    /// The summary of `spec`'s trace at `trace_len`: a hit whenever the
+    /// trace was ever generated, whether or not its instructions are still
+    /// held; otherwise the trace is generated through [`trace`](Self::trace).
+    pub fn trace_summary(&self, spec: &WorkloadSpec, trace_len: usize) -> Arc<TraceSummary> {
+        let slot = self.trace_slot(spec, trace_len);
+        match slot.summary.get() {
+            Some(summary) => {
+                self.trace_hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(summary)
+            }
+            None => Arc::clone(&self.trace(spec, trace_len).summary),
+        }
+    }
+
+    /// Drops the store's handle on the instructions of `spec`'s trace at
+    /// `trace_len`; its summary stays. Requests holding the entry keep
+    /// their own `Arc`, and a generation still in flight is left to finish
+    /// (its requester releases it in turn). The server calls this after
+    /// each request's matrix; batch callers never do, so traces shared
+    /// across experiments stay generated once.
+    pub fn release_trace(&self, spec: &WorkloadSpec, trace_len: usize) {
+        let slot = lock(&self.traces)
+            .get(&(spec.name.clone(), trace_len))
+            .cloned();
+        if let Some(slot) = slot {
+            let mut instrs = lock(&slot.instrs);
+            if instrs.get().is_some() {
+                *instrs = Slot::default();
+            }
+        }
+    }
+
+    /// The traces whose instructions the store holds, and their bytes
+    /// (`size_of::<TraceInstr>()` per instruction).
+    pub fn retained_traces(&self) -> RetainedTraces {
+        let instr_bytes = std::mem::size_of::<fdip_types::TraceInstr>() as u64;
+        let mut retained = RetainedTraces::default();
+        for slot in lock(&self.traces).values() {
+            if let Some(entry) = lock(&slot.instrs).get() {
+                retained.traces += 1;
+                retained.bytes += entry.trace.len() as u64 * instr_bytes;
+            }
+        }
+        retained
+    }
+
+    fn cell_slot(&self, spec: &WorkloadSpec, trace_len: usize, fingerprint: &str) -> Arc<CellSlot> {
+        let mut map = lock(&self.cells);
+        map.entry((spec.name.clone(), trace_len, fingerprint.to_string()))
+            .or_default()
+            .clone()
+    }
+
+    /// Whether every cell of `spec` × `fingerprints` has finished, so a
+    /// matrix over them needs the trace's summary but not its instructions.
+    fn cells_done(&self, spec: &WorkloadSpec, trace_len: usize, fingerprints: &[String]) -> bool {
+        let cells = lock(&self.cells);
+        fingerprints.iter().all(|fingerprint| {
+            cells
+                .get(&(spec.name.clone(), trace_len, fingerprint.clone()))
+                .is_some_and(|slot| matches!(*lock(&slot.state), CellState::Done(_)))
+        })
+    }
+
     /// Serves one cell: from the cache if an identical
     /// `(workload, trace_len, config)` cell already finished (including
     /// journal-restored ones), otherwise by computing it under the fault
     /// model. Exactly one trace-store request is made per call, so cache
-    /// counters stay deterministic across thread counts.
+    /// counters stay deterministic across thread counts; a hit asks only
+    /// for the summary and never touches the instructions.
     fn cell_stats(
         &self,
         spec: &WorkloadSpec,
         trace_len: usize,
         label: &str,
         config: &FrontendConfig,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
-        let fingerprint = config_fingerprint(config);
-        let slot = {
-            let mut map = lock(&self.cells);
-            map.entry((spec.name.clone(), trace_len, fingerprint.clone()))
-                .or_default()
-                .clone()
-        };
+        fingerprint: &str,
+    ) -> Result<(Arc<TraceSummary>, Arc<SimStats>), CellError> {
+        let slot = self.cell_slot(spec, trace_len, fingerprint);
         let mut waited = false;
         {
             let mut state = lock(&slot.state);
@@ -577,8 +685,7 @@ impl Harness {
                             &self.cell_hits
                         };
                         counter.fetch_add(1, Ordering::Relaxed);
-                        let entry = self.trace(spec, trace_len);
-                        return Ok((entry, stats));
+                        return Ok((self.trace_summary(spec, trace_len), stats));
                     }
                     CellState::Computing => {
                         waited = true;
@@ -601,25 +708,24 @@ impl Harness {
         // is warm from request one and a second fleet run simulates zero
         // cells.
         if let Some(cache) = lock(&self.disk_cache).clone() {
-            if let CacheLookup::Hit(stats) = cache.lookup(&spec.name, trace_len, &fingerprint) {
+            if let CacheLookup::Hit(stats) = cache.lookup(&spec.name, trace_len, fingerprint) {
                 let stats: Arc<SimStats> = Arc::new(*stats);
                 *lock(&slot.state) = CellState::Done(Arc::clone(&stats));
                 slot.done.notify_all();
                 self.remote_cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.cell_hits.fetch_add(1, Ordering::Relaxed);
-                let entry = self.trace(spec, trace_len);
-                return Ok((entry, stats));
+                return Ok((self.trace_summary(spec, trace_len), stats));
             }
         }
-        match self.compute_cell(spec, trace_len, label, config, &fingerprint) {
-            Ok((entry, stats)) => {
+        match self.compute_cell(spec, trace_len, label, config, fingerprint) {
+            Ok((summary, stats)) => {
                 *lock(&slot.state) = CellState::Done(Arc::clone(&stats));
                 slot.done.notify_all();
                 self.cells_simulated.fetch_add(1, Ordering::Relaxed);
                 let record = JournalEntry {
                     workload: spec.name.clone(),
                     trace_len,
-                    config: fingerprint,
+                    config: fingerprint.to_string(),
                     stats: (*stats).clone(),
                 };
                 if let Some(journal) = lock(&self.journal).clone() {
@@ -631,7 +737,7 @@ impl Harness {
                     }
                 }
                 self.cache_store(&record);
-                Ok((entry, stats))
+                Ok((summary, stats))
             }
             Err(error) => {
                 *lock(&slot.state) = CellState::Idle;
@@ -670,7 +776,7 @@ impl Harness {
         label: &str,
         config: &FrontendConfig,
         fingerprint: &str,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
+    ) -> Result<(Arc<TraceSummary>, Arc<SimStats>), CellError> {
         let retry = self.retry_policy();
         let plan = lock(&self.faults).clone();
         let isolation = lock(&self.isolation).clone();
@@ -764,7 +870,7 @@ impl Harness {
         retry: &RetryPolicy,
         token: &CancelToken,
         attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
+    ) -> Result<(Arc<TraceSummary>, Arc<SimStats>), CellError> {
         let budget_ms = retry
             .cell_budget
             .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
@@ -821,7 +927,7 @@ impl Harness {
             return Err(CellError::Timeout { budget_ms });
         }
         match Simulator::new(config, &entry.trace).run_cancellable(token) {
-            Ok(stats) => Ok((entry, Arc::new(stats))),
+            Ok(stats) => Ok((Arc::clone(&entry.summary), Arc::new(stats))),
             Err(Cancelled) => Err(CellError::Timeout { budget_ms }),
         }
     }
@@ -843,7 +949,7 @@ impl Harness {
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
         attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
+    ) -> Result<(Arc<TraceSummary>, Arc<SimStats>), CellError> {
         let budget_ms = retry
             .cell_budget
             .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
@@ -893,8 +999,8 @@ impl Harness {
         // The worker generated its own copy; this one serves the
         // RunResult's trace characterization and is usually a store hit
         // thanks to run_matrix's pregeneration barrier.
-        let entry = self.trace(spec, trace_len);
-        Ok((entry, Arc::new(stats)))
+        let summary = self.trace_summary(spec, trace_len);
+        Ok((summary, Arc::new(stats)))
     }
 
     /// One attempt at a cell on the fleet: logical faults are realized
@@ -914,7 +1020,7 @@ impl Harness {
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
         attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
+    ) -> Result<(Arc<TraceSummary>, Arc<SimStats>), CellError> {
         let budget_ms = retry
             .cell_budget
             .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
@@ -957,8 +1063,8 @@ impl Harness {
         )?;
         // The remote node generated its own trace; this request serves the
         // RunResult's characterization from the local store.
-        let entry = self.trace(spec, trace_len);
-        Ok((entry, Arc::new(stats)))
+        let summary = self.trace_summary(spec, trace_len);
+        Ok((summary, Arc::new(stats)))
     }
 
     /// The lockstep batch pass over one matrix: for each workload, claim
@@ -982,6 +1088,7 @@ impl Harness {
         workloads: &[WorkloadSpec],
         trace_len: usize,
         configs: &[(String, FrontendConfig)],
+        fingerprints: &[String],
         threads: usize,
     ) -> Vec<Option<RunResult>> {
         let mut out: Vec<Option<RunResult>> = Vec::new();
@@ -1004,7 +1111,7 @@ impl Harness {
             let Some((w, chunk)) = lock(&queue).pop() else {
                 return;
             };
-            harness.batch_workload(&workloads[w], trace_len, configs, chunk);
+            harness.batch_workload(&workloads[w], trace_len, configs, fingerprints, chunk);
         };
         if threads <= 1 {
             drain(self);
@@ -1030,28 +1137,23 @@ impl Harness {
         spec: &WorkloadSpec,
         trace_len: usize,
         configs: &[(String, FrontendConfig)],
+        fingerprints: &[String],
         out: &mut [Option<RunResult>],
     ) {
         // (config index, slot, fingerprint) per claimed cell.
-        let mut claimed: Vec<(usize, Arc<CellSlot>, String)> = Vec::new();
-        for (c, (_, config)) in configs.iter().enumerate() {
-            let fingerprint = config_fingerprint(config);
-            if claimed.iter().any(|(_, _, f)| f == &fingerprint) {
+        let mut claimed: Vec<(usize, Arc<CellSlot>, &str)> = Vec::new();
+        for (c, fingerprint) in fingerprints.iter().enumerate() {
+            if claimed.iter().any(|(_, _, f)| f == fingerprint) {
                 continue; // duplicate label: later a plain cache hit
             }
-            let slot = {
-                let mut map = lock(&self.cells);
-                map.entry((spec.name.clone(), trace_len, fingerprint.clone()))
-                    .or_default()
-                    .clone()
-            };
+            let slot = self.cell_slot(spec, trace_len, fingerprint);
             let mut state = lock(&slot.state);
             if matches!(*state, CellState::Idle) {
                 // The disk cache settles claims here too; the per-cell
                 // scheduler then serves the slot as an ordinary hit.
                 if let Some(cache) = lock(&self.disk_cache).clone() {
                     if let CacheLookup::Hit(stats) =
-                        cache.lookup(&spec.name, trace_len, &fingerprint)
+                        cache.lookup(&spec.name, trace_len, fingerprint)
                     {
                         *state = CellState::Done(Arc::new(*stats));
                         drop(state);
@@ -1102,7 +1204,7 @@ impl Harness {
             let record = JournalEntry {
                 workload: spec.name.clone(),
                 trace_len,
-                config: fingerprint,
+                config: fingerprint.to_string(),
                 stats: (*stats).clone(),
             };
             if let Some(journal) = &journal {
@@ -1118,7 +1220,7 @@ impl Harness {
                 workload: spec.name.clone(),
                 config: configs[c].0.clone(),
                 stats: (*stats).clone(),
-                trace_stats: entry.stats.clone(),
+                trace_stats: entry.summary.stats.clone(),
                 error: None,
             });
         }
@@ -1163,19 +1265,30 @@ impl Harness {
             })
             .min(total.max(1));
 
+        let fingerprints: Vec<String> = configs
+            .iter()
+            .map(|(_, config)| config_fingerprint(config))
+            .collect();
+
         // Generate every trace up front, one task per workload, before any
         // cell runs. Cell workers then only ever *hit* the finished store,
         // which pins the hit/shared telemetry split — without the barrier a
         // worker could catch a sibling workload's generation still in
         // flight and count `traces_shared` instead of `trace_hits`, making
         // `stats()` scheduling-dependent (tests/determinism.rs pins it).
+        // A workload whose cells have all finished needs only its summary,
+        // so a repeated matrix never regenerates released instructions.
         let next_trace = std::sync::atomic::AtomicUsize::new(0);
         let generate = |harness: &Harness| loop {
             let w = next_trace.fetch_add(1, Ordering::Relaxed);
             if w >= workloads.len() {
                 return;
             }
-            harness.trace(&workloads[w], trace_len);
+            if harness.cells_done(&workloads[w], trace_len, &fingerprints) {
+                harness.trace_summary(&workloads[w], trace_len);
+            } else {
+                harness.trace(&workloads[w], trace_len);
+            }
         };
         if threads <= 1 {
             generate(self);
@@ -1190,7 +1303,7 @@ impl Harness {
         // Lockstep batch pass: simulate each workload's idle cells
         // together over one shared BPU walk where their keys allow. The
         // per-cell loop below then only sees cache hits for those slots.
-        let prefilled = self.batch_pass(workloads, trace_len, configs, threads);
+        let prefilled = self.batch_pass(workloads, trace_len, configs, &fingerprints, threads);
         let filled: Vec<bool> = prefilled.iter().map(Option::is_some).collect();
 
         // Hand cells out config-major (cell k ↦ workload k % W) so
@@ -1214,12 +1327,13 @@ impl Harness {
             }
             let spec = &workloads[w];
             let (label, config) = &configs[c];
-            let result = match harness.cell_stats(spec, trace_len, label, config) {
-                Ok((entry, stats)) => RunResult {
+            let result = match harness.cell_stats(spec, trace_len, label, config, &fingerprints[c])
+            {
+                Ok((summary, stats)) => RunResult {
                     workload: spec.name.clone(),
                     config: label.clone(),
                     stats: (*stats).clone(),
-                    trace_stats: entry.stats.clone(),
+                    trace_stats: summary.stats.clone(),
                     error: None,
                 },
                 Err(error) => RunResult {
@@ -1446,6 +1560,46 @@ mod tests {
         let c = harness.trace(spec, LEN / 2);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(harness.stats().traces_generated, 2);
+    }
+
+    #[test]
+    fn released_instructions_are_regenerated_only_for_new_cells() {
+        let harness = Harness::new();
+        let workloads = suite(SuiteKind::Client, Scale::quick());
+        let base = vec![configs()[0].clone()];
+        let first = harness.run_matrix(&workloads, LEN, &base);
+        let instr_bytes = std::mem::size_of::<fdip_types::TraceInstr>() as u64;
+        assert_eq!(
+            harness.retained_traces(),
+            RetainedTraces {
+                traces: 1,
+                bytes: LEN as u64 * instr_bytes,
+            }
+        );
+        harness.release_trace(&workloads[0], LEN);
+        assert_eq!(harness.retained_traces(), RetainedTraces::default());
+
+        // A repeat is all hits: it reads the summary and generates nothing.
+        let again = harness.run_matrix(&workloads, LEN, &base);
+        assert_eq!(harness.stats().traces_generated, 1);
+        assert_eq!(harness.retained_traces(), RetainedTraces::default());
+        assert_eq!(
+            fdip_types::ToJson::to_json(&first[0]).to_string(),
+            fdip_types::ToJson::to_json(&again[0]).to_string()
+        );
+
+        // A new cell needs the instructions, so they are generated again
+        // and simulate exactly as on a harness that never released them.
+        let both = harness.run_matrix(&workloads, LEN, &configs());
+        assert_eq!(harness.stats().traces_generated, 2);
+        assert_eq!(harness.retained_traces().traces, 1);
+        let fresh = Harness::new().run_matrix(&workloads, LEN, &configs());
+        for (x, y) in both.iter().zip(fresh.iter()) {
+            assert_eq!(
+                fdip_types::ToJson::to_json(x).to_string(),
+                fdip_types::ToJson::to_json(y).to_string()
+            );
+        }
     }
 
     #[test]
