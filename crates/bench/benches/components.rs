@@ -12,7 +12,7 @@ use fdip_btb::{
 };
 use fdip_mem::{Cache, CacheGeometry, FillFlags, ReplacementPolicy};
 use fdip_trace::gen::{GeneratorConfig, Profile};
-use fdip_trace::{read_binary, write_binary};
+use fdip_trace::{read_binary, write_binary, TraceStats};
 use fdip_types::{Addr, BranchClass};
 
 fn bench_btbs(c: &mut Criterion) {
@@ -117,6 +117,9 @@ fn bench_trace(c: &mut Criterion) {
                     .generate(),
             )
         });
+    });
+    group.bench_function("measure_100k", |b| {
+        b.iter(|| black_box(TraceStats::measure(&trace)));
     });
     let mut encoded = Vec::new();
     write_binary(&mut encoded, &trace).unwrap();

@@ -113,15 +113,14 @@ fn main() {
     }
     // Fleet tuning flags are validated before anything dials: a zero or
     // garbage value is a usage error, never a half-configured fleet.
-    let fleet_heartbeat_ms = flag_value(&args, "--fleet-heartbeat-ms").map(|raw| {
-        match raw.parse::<u64>() {
+    let fleet_heartbeat_ms =
+        flag_value(&args, "--fleet-heartbeat-ms").map(|raw| match raw.parse::<u64>() {
             Ok(ms) if ms > 0 => ms,
             _ => {
                 eprintln!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)");
                 std::process::exit(2);
             }
-        }
-    });
+        });
     let hedge = flag_value(&args, "--hedge-after-ms").map(|raw| {
         fdip_sim::fleet::HedgePolicy::parse(&raw).unwrap_or_else(|e| {
             eprintln!("bad --hedge-after-ms: {e}");

@@ -556,9 +556,14 @@ fn fleet_tuning(
 ) -> Result<(Option<u64>, Option<fdip_sim::fleet::HedgePolicy>), Box<dyn Error>> {
     let heartbeat = match args.get("fleet-heartbeat-ms") {
         None => None,
-        Some(raw) => Some(raw.parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-            format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
-        })?),
+        Some(raw) => Some(
+            raw.parse::<u64>()
+                .ok()
+                .filter(|&ms| ms > 0)
+                .ok_or_else(|| {
+                    format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
+                })?,
+        ),
     };
     let hedge = match args.get("hedge-after-ms") {
         None => None,

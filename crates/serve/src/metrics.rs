@@ -475,18 +475,16 @@ mod tests {
         assert!(text.contains("fdip_serve_harness_traces_retained 19"));
         assert!(text.contains("fdip_serve_harness_trace_bytes 20"));
         // One-hot health: each node's current state is 1, the rest 0.
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"healthy\"} 1"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"lost\"} 0"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"lost\"} 1"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"healthy\"} 0"
-        ));
+        assert!(text
+            .contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"healthy\"} 1"));
+        assert!(
+            text.contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"lost\"} 0")
+        );
+        assert!(
+            text.contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"lost\"} 1")
+        );
+        assert!(text
+            .contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"healthy\"} 0"));
         assert!(text.contains("fdip_serve_requests_total{status=\"502\"} 0"));
         // Histogram buckets are cumulative: the 3ms observation lands in
         // le=0.005 and every later bucket includes it.

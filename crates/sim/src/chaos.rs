@@ -94,10 +94,19 @@ impl ChaosRound {
             ("wall_ms", Json::uint(self.wall_ms)),
             ("cells_simulated", Json::uint(self.stats.cells_simulated)),
             ("cells_failed", Json::uint(self.stats.cells_failed)),
-            ("remote_cache_hits", Json::uint(self.stats.remote_cache_hits)),
+            (
+                "remote_cache_hits",
+                Json::uint(self.stats.remote_cache_hits),
+            ),
             ("node_losses", Json::uint(self.stats.node_losses)),
-            ("node_readmissions", Json::uint(self.stats.node_readmissions)),
-            ("cells_redispatched", Json::uint(self.stats.cells_redispatched)),
+            (
+                "node_readmissions",
+                Json::uint(self.stats.node_readmissions),
+            ),
+            (
+                "cells_redispatched",
+                Json::uint(self.stats.cells_redispatched),
+            ),
             ("cells_hedged", Json::uint(self.stats.cells_hedged)),
             ("hedge_wins", Json::uint(self.stats.hedge_wins)),
             ("downtime_ms", Json::uint(self.downtime_ms)),
@@ -142,7 +151,10 @@ impl ChaosReport {
             ("schema_version", Json::uint(CHAOS_SCHEMA_VERSION)),
             ("bench", Json::str("chaos")),
             ("seed", Json::uint(self.seed)),
-            ("rounds", Json::arr(self.rounds.iter().map(ChaosRound::to_json))),
+            (
+                "rounds",
+                Json::arr(self.rounds.iter().map(ChaosRound::to_json)),
+            ),
             (
                 "aggregate",
                 Json::obj([
@@ -151,7 +163,10 @@ impl ChaosReport {
                         "byte_identical_rounds",
                         Json::uint(self.rounds.iter().filter(|r| r.byte_identical).count() as u64),
                     ),
-                    ("node_losses", Json::uint(self.total(|r| r.stats.node_losses))),
+                    (
+                        "node_losses",
+                        Json::uint(self.total(|r| r.stats.node_losses)),
+                    ),
                     (
                         "node_readmissions",
                         Json::uint(self.total(|r| r.stats.node_readmissions)),
@@ -160,7 +175,10 @@ impl ChaosReport {
                         "cells_redispatched",
                         Json::uint(self.total(|r| r.stats.cells_redispatched)),
                     ),
-                    ("cells_hedged", Json::uint(self.total(|r| r.stats.cells_hedged))),
+                    (
+                        "cells_hedged",
+                        Json::uint(self.total(|r| r.stats.cells_hedged)),
+                    ),
                     ("hedge_wins", Json::uint(self.total(|r| r.stats.hedge_wins))),
                     ("mttr_ms", Json::num(self.mttr_ms())),
                 ]),
@@ -355,11 +373,8 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
     let baseline = baseline_text(&config.experiments)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
 
-    let cache_dir = std::env::temp_dir().join(format!(
-        "fdip-chaos-{}-{}",
-        std::process::id(),
-        config.seed
-    ));
+    let cache_dir =
+        std::env::temp_dir().join(format!("fdip-chaos-{}-{}", std::process::id(), config.seed));
     let _ = std::fs::remove_dir_all(&cache_dir);
     std::fs::create_dir_all(&cache_dir)?;
 
@@ -394,7 +409,12 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
         let fault_plan = if round == 0 {
             "slow@*/*:1200".to_string()
         } else {
-            let kinds = ["partition@*/*", "slowlink@*/*:80", "truncframe@*/*", "drop@*/*"];
+            let kinds = [
+                "partition@*/*",
+                "slowlink@*/*:80",
+                "truncframe@*/*",
+                "drop@*/*",
+            ];
             let pick = kinds[(splitmix64(round_seed ^ 0xFA) as usize) % kinds.len()];
             format!("slow@*/*:800,{pick}")
         };

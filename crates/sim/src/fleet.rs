@@ -71,10 +71,11 @@ const RECYCLE_AFTER: u64 = 64;
 /// content-addressed and the simulator is deterministic, so both copies
 /// produce byte-identical statistics and the first one back wins; the
 /// loser is cancelled by severing its connection (the remote-kill path).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum HedgePolicy {
     /// Never hedge. Dispatch takes the exact synchronous path it always
     /// has — provably inert.
+    #[default]
     Off,
     /// Hedge a cell whose primary copy has been in flight this long.
     After(Duration),
@@ -102,12 +103,6 @@ impl HedgePolicy {
                 "invalid hedge delay {raw:?}: expected 0, a millisecond count, or \"auto\""
             )),
         }
-    }
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy::Off
     }
 }
 
@@ -513,8 +508,8 @@ impl FleetInner {
                 None => {
                     let abort = AtomicBool::new(false);
                     let out = inner.run_on_slot(
-                        index, workload, trace_len, budget_ms, &fault, &net_fault, config,
-                        attempt, &abort,
+                        index, workload, trace_len, budget_ms, &fault, &net_fault, config, attempt,
+                        &abort,
                     );
                     inner.release_slot(index);
                     out
@@ -1849,8 +1844,7 @@ mod tests {
                 let (mut stream, _) = listener.accept().unwrap();
                 let doc = net::read_frame(&mut stream).unwrap().unwrap();
                 assert!(Hello::from_json(&doc).is_some());
-                net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json())
-                    .unwrap();
+                net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json()).unwrap();
                 // Die as soon as a cell arrives.
                 let _ = net::read_frame(&mut stream);
             }
@@ -1884,11 +1878,8 @@ mod tests {
                         if Hello::from_json(&doc).is_none() {
                             continue;
                         }
-                        if net::write_frame(
-                            &mut stream,
-                            &Welcome::Accepted { slots: 1 }.to_json(),
-                        )
-                        .is_err()
+                        if net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json())
+                            .is_err()
                         {
                             continue;
                         }
@@ -1916,7 +1907,10 @@ mod tests {
             assert!(Instant::now() < deadline, "node was never readmitted");
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(fleet.node_health(), vec![(addr.clone(), NodeHealth::Probation)]);
+        assert_eq!(
+            fleet.node_health(),
+            vec![(addr.clone(), NodeHealth::Probation)]
+        );
         let stats = fleet
             .run_cell(&spec(), 1000, 0, None, None, &config, 3)
             .unwrap();

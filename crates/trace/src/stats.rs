@@ -2,10 +2,10 @@
 //! branch-target offset distribution (the data behind extension experiment
 //! X1 / "Revisited" Figure 3).
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 
-use fdip_types::{offset_bits, offset_insts, Addr, BranchClass, TraceInstr};
+use fdip_types::{offset_bits, offset_insts, BranchClass, TraceInstr};
 
 use crate::Trace;
 
@@ -225,6 +225,26 @@ impl fmt::Display for BlockSizeHistogram {
     }
 }
 
+/// Static-footprint bitmasks of one 64-byte block: bit `i` stands for the
+/// instruction at byte offset `i` of the block.
+#[derive(Clone, Copy, Debug, Default)]
+struct BlockMasks {
+    /// PCs executed.
+    pcs: u64,
+    /// PCs seen as a branch record.
+    branches: u64,
+    /// PCs seen as a taken branch.
+    taken: u64,
+}
+
+impl BlockMasks {
+    fn merge(&mut self, other: BlockMasks) {
+        self.pcs |= other.pcs;
+        self.branches |= other.branches;
+        self.taken |= other.taken;
+    }
+}
+
 /// Aggregate characterization of a trace.
 ///
 /// # Examples
@@ -269,25 +289,42 @@ impl TraceStats {
     }
 
     /// Measures a raw instruction slice.
+    ///
+    /// The static footprint is kept per 64-byte block as three bitmasks in
+    /// which bit `pc & 63` of block `pc >> 6` stands for the instruction at
+    /// `pc`: `pcs` marks every PC executed, `branches` every PC seen as a
+    /// branch record and `taken` every PC seen taken at least once. A PC
+    /// owns exactly one (block, bit) pair whatever its alignment, so the
+    /// popcounts are exact unique-PC counts. The masks of the block being
+    /// executed accumulate in locals and fold into the per-block map
+    /// only when execution leaves the block: one hash operation per block
+    /// run rather than up to four per instruction.
     pub fn measure_instrs(instrs: &[TraceInstr]) -> TraceStats {
-        let mut unique_pcs: HashSet<Addr> = HashSet::new();
-        let mut unique_blocks: HashSet<u64> = HashSet::new();
-        let mut branch_pcs: HashSet<Addr> = HashSet::new();
-        let mut taken_pcs: HashSet<Addr> = HashSet::new();
+        let mut footprint: HashMap<u64, BlockMasks> = HashMap::new();
+        let mut block: Option<u64> = None;
+        let mut masks = BlockMasks::default();
         let mut stats = TraceStats {
             len: instrs.len() as u64,
             ..TraceStats::default()
         };
         let mut run_len = 0u64;
         for instr in instrs {
-            unique_pcs.insert(instr.pc);
-            unique_blocks.insert(instr.pc.block_index(64));
+            let pc = instr.pc.raw();
+            if block != Some(pc >> 6) {
+                if let Some(prev) = block {
+                    footprint.entry(prev).or_default().merge(masks);
+                }
+                block = Some(pc >> 6);
+                masks = BlockMasks::default();
+            }
+            let bit = 1u64 << (pc & 63);
+            masks.pcs |= bit;
             run_len += 1;
             if let Some(b) = instr.branch {
                 stats.mix.record(b.class, b.taken);
-                branch_pcs.insert(instr.pc);
+                masks.branches |= bit;
                 if b.taken {
-                    taken_pcs.insert(instr.pc);
+                    masks.taken |= bit;
                     stats
                         .offsets
                         .record(offset_bits(offset_insts(instr.pc, b.target)));
@@ -299,10 +336,15 @@ impl TraceStats {
         if run_len > 0 {
             stats.blocks.record(run_len);
         }
-        stats.footprint_bytes = unique_pcs.len() as u64 * 4;
-        stats.footprint_blocks_64b = unique_blocks.len() as u64;
-        stats.static_branches = branch_pcs.len() as u64;
-        stats.static_taken_branches = taken_pcs.len() as u64;
+        if let Some(prev) = block {
+            footprint.entry(prev).or_default().merge(masks);
+        }
+        stats.footprint_blocks_64b = footprint.len() as u64;
+        for m in footprint.values() {
+            stats.footprint_bytes += 4 * u64::from(m.pcs.count_ones());
+            stats.static_branches += u64::from(m.branches.count_ones());
+            stats.static_taken_branches += u64::from(m.taken.count_ones());
+        }
         stats
     }
 
@@ -371,8 +413,69 @@ impl fdip_types::ToJson for TraceStats {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use fdip_types::{Addr, BranchRecord};
+
     use super::*;
+    use crate::gen::{GeneratorConfig, Profile};
     use crate::TraceBuilder;
+
+    /// The per-instruction reference: one `HashSet` per footprint count.
+    /// `TraceStats::measure_instrs` must agree with it field for field.
+    fn oracle(instrs: &[TraceInstr]) -> TraceStats {
+        let mut unique_pcs: HashSet<Addr> = HashSet::new();
+        let mut unique_blocks: HashSet<u64> = HashSet::new();
+        let mut branch_pcs: HashSet<Addr> = HashSet::new();
+        let mut taken_pcs: HashSet<Addr> = HashSet::new();
+        let mut stats = TraceStats {
+            len: instrs.len() as u64,
+            ..TraceStats::default()
+        };
+        let mut run_len = 0u64;
+        for instr in instrs {
+            unique_pcs.insert(instr.pc);
+            unique_blocks.insert(instr.pc.block_index(64));
+            run_len += 1;
+            if let Some(b) = instr.branch {
+                stats.mix.record(b.class, b.taken);
+                branch_pcs.insert(instr.pc);
+                if b.taken {
+                    taken_pcs.insert(instr.pc);
+                    stats
+                        .offsets
+                        .record(offset_bits(offset_insts(instr.pc, b.target)));
+                }
+                stats.blocks.record(run_len);
+                run_len = 0;
+            }
+        }
+        if run_len > 0 {
+            stats.blocks.record(run_len);
+        }
+        stats.footprint_bytes = unique_pcs.len() as u64 * 4;
+        stats.footprint_blocks_64b = unique_blocks.len() as u64;
+        stats.static_branches = branch_pcs.len() as u64;
+        stats.static_taken_branches = taken_pcs.len() as u64;
+        stats
+    }
+
+    fn measured(instrs: &[TraceInstr]) -> TraceStats {
+        let stats = TraceStats::measure_instrs(instrs);
+        assert_eq!(stats, oracle(instrs));
+        stats
+    }
+
+    fn plain(pc: u64) -> TraceInstr {
+        TraceInstr::plain(Addr::new(pc))
+    }
+
+    fn cond(pc: u64, taken: bool, target: u64) -> TraceInstr {
+        TraceInstr::branch(
+            Addr::new(pc),
+            BranchRecord::new(BranchClass::CondDirect, taken, Addr::new(target)),
+        )
+    }
 
     fn looped_trace() -> Trace {
         let mut b = TraceBuilder::new("loop", Addr::new(0x1000));
@@ -478,5 +581,110 @@ mod tests {
         // (1 << 30) bytes = 1 << 28 instructions → 29 bits? No: 2^28 exactly
         // needs 29 bits by our convention (magnitude 2^28 has bit 28 set).
         assert_eq!(s.offsets.max_bits(), Some(29));
+    }
+
+    #[test]
+    fn empty_and_single_instruction_match_the_oracle() {
+        assert_eq!(measured(&[]), TraceStats::default());
+        let s = measured(&[plain(0x1000)]);
+        assert_eq!((s.footprint_bytes, s.footprint_blocks_64b), (4, 1));
+        let s = measured(&[cond(0x1000, true, 0x1000)]);
+        assert_eq!((s.static_branches, s.static_taken_branches), (1, 1));
+    }
+
+    #[test]
+    fn unaligned_pcs_count_once_each() {
+        let pcs = [
+            0x1001, 0x1002, 0x1003, 0x1005, 0x1002, 0x103f, 0x1040, 0x1001,
+        ];
+        let instrs: Vec<_> = pcs.iter().map(|&pc| plain(pc)).collect();
+        let s = measured(&instrs);
+        assert_eq!(s.footprint_bytes, 6 * 4);
+        assert_eq!(s.footprint_blocks_64b, 2);
+    }
+
+    #[test]
+    fn a_block_left_and_revisited_merges_its_masks() {
+        // A → B → A: the second run in A adds new PCs and repeats old
+        // ones, and a branch not taken in the first run is taken in it.
+        let instrs = [
+            plain(0x1000),
+            cond(0x1004, false, 0x2000),
+            plain(0x1008),
+            cond(0x100c, true, 0x2000),
+            plain(0x2000),
+            cond(0x2004, false, 0x1000),
+            cond(0x2008, true, 0x1010),
+            plain(0x1010),
+            cond(0x1004, true, 0x2000),
+            plain(0x2000),
+        ];
+        let s = measured(&instrs);
+        assert_eq!(s.footprint_bytes, 8 * 4);
+        assert_eq!(s.footprint_blocks_64b, 2);
+        assert_eq!(s.static_branches, 4);
+        assert_eq!(s.static_taken_branches, 3);
+    }
+
+    #[test]
+    fn a_branch_seen_not_taken_then_taken_counts_once() {
+        let instrs = [
+            cond(0x1000, false, 0x800),
+            plain(0x1004),
+            cond(0x1000, true, 0x800),
+        ];
+        let s = measured(&instrs);
+        assert_eq!((s.static_branches, s.static_taken_branches), (1, 1));
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_is_an_ordinary_block() {
+        let top = u64::MAX - 3;
+        assert_eq!(Addr::new(top).block_index(64), (1 << 58) - 1);
+        // Block 0 first, then the top block, then both again: neither
+        // index may be mistaken for "no block yet".
+        let instrs = [
+            plain(0),
+            plain(top - 60),
+            cond(top, true, top - 60),
+            plain(top - 60),
+            plain(0),
+            cond(4, false, top),
+            plain(u64::MAX),
+        ];
+        let s = measured(&instrs);
+        assert_eq!(s.footprint_bytes, 5 * 4);
+        assert_eq!(s.footprint_blocks_64b, 2);
+        assert_eq!(s.static_branches, 2);
+        assert_eq!(s.static_taken_branches, 1);
+    }
+
+    #[test]
+    fn generated_profiles_match_the_oracle() {
+        for profile in Profile::ALL {
+            for seed in [0, 1, 7] {
+                for len in [1, 100, 5_000, 20_000] {
+                    let t = GeneratorConfig::profile(profile)
+                        .seed(seed)
+                        .target_len(len)
+                        .generate();
+                    measured(t.instrs());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn program_and_scenario_suites_match_the_oracle() {
+        for name in fdip_isa::library::names() {
+            let t = fdip_isa::library::trace(name, name, 20_000).expect("library program");
+            measured(t.instrs());
+        }
+        for name in fdip_isa::scenario::names() {
+            for seed in [0, 3] {
+                let t = fdip_isa::scenario::trace(name, seed, name, 20_000).expect("scenario");
+                measured(t.instrs());
+            }
+        }
     }
 }

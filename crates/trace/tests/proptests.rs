@@ -2,11 +2,13 @@
 //! arbitrary well-formed traces, generator validity over arbitrary
 //! configurations, and statistics consistency.
 
+use std::collections::HashSet;
+
 use fdip_trace::gen::{GeneratorConfig, Profile};
 use fdip_trace::{
     read_binary, read_text, write_binary, write_text, Trace, TraceBuilder, TraceStats,
 };
-use fdip_types::Addr;
+use fdip_types::{Addr, BranchClass, BranchRecord, TraceInstr};
 use proptest::prelude::*;
 
 /// One abstract builder operation; a sequence of these describes a
@@ -70,6 +72,60 @@ fn build(ops: &[Op], start: u64) -> Trace {
         }
     }
     b.finish()
+}
+
+/// Bases of the small PC windows the raw-instruction strategy draws from:
+/// few enough that 64-byte blocks are left and revisited, and the last one
+/// ends at the top of the address space.
+const PC_WINDOWS: [u64; 4] = [0, 0x1000, 0xdead_0000, u64::MAX - 255];
+
+/// One raw instruction at an arbitrary (not necessarily word-aligned) PC in
+/// one of [`PC_WINDOWS`]: a plain record, a not-taken branch or a taken one.
+fn raw_instr_strategy() -> impl Strategy<Value = TraceInstr> {
+    (
+        0..PC_WINDOWS.len(),
+        0u64..256,
+        0u8..3,
+        0..BranchClass::ALL.len(),
+        0u64..256,
+    )
+        .prop_map(|(window, offset, kind, class, target)| {
+            let pc = Addr::new(PC_WINDOWS[window] + offset);
+            let target = Addr::new(PC_WINDOWS[window] + target);
+            match kind {
+                0 => TraceInstr::plain(pc),
+                1 => TraceInstr::branch(
+                    pc,
+                    BranchRecord::new(BranchClass::CondDirect, false, target),
+                ),
+                _ => {
+                    TraceInstr::branch(pc, BranchRecord::new(BranchClass::ALL[class], true, target))
+                }
+            }
+        })
+}
+
+/// `(footprint_bytes, footprint_blocks_64b, static_branches,
+/// static_taken_branches)` counted naively, one set per field.
+fn naive_footprint(instrs: &[TraceInstr]) -> (u64, u64, u64, u64) {
+    let pcs: HashSet<u64> = instrs.iter().map(|i| i.pc.raw()).collect();
+    let blocks: HashSet<u64> = pcs.iter().map(|pc| pc / 64).collect();
+    let branches: HashSet<u64> = instrs
+        .iter()
+        .filter(|i| i.branch.is_some())
+        .map(|i| i.pc.raw())
+        .collect();
+    let taken: HashSet<u64> = instrs
+        .iter()
+        .filter(|i| i.branch.is_some_and(|b| b.taken))
+        .map(|i| i.pc.raw())
+        .collect();
+    (
+        pcs.len() as u64 * 4,
+        blocks.len() as u64,
+        branches.len() as u64,
+        taken.len() as u64,
+    )
 }
 
 proptest! {
@@ -157,5 +213,17 @@ proptest! {
         // The offset histogram records exactly the dynamic taken branches.
         prop_assert_eq!(s.offsets.total(), s.mix.total_taken());
         prop_assert!(s.static_taken_branches <= s.static_branches);
+    }
+
+    #[test]
+    fn footprint_matches_a_naive_count(
+        instrs in prop::collection::vec(raw_instr_strategy(), 0..300),
+    ) {
+        let s = TraceStats::measure_instrs(&instrs);
+        prop_assert_eq!(s.len, instrs.len() as u64);
+        prop_assert_eq!(
+            (s.footprint_bytes, s.footprint_blocks_64b, s.static_branches, s.static_taken_branches),
+            naive_footprint(&instrs)
+        );
     }
 }

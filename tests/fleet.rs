@@ -127,7 +127,10 @@ impl Workerd {
 
     /// Whether the daemon has printed `needle` yet.
     fn printed(&self, needle: &str) -> bool {
-        self.captured.lock().expect("capture poisoned").contains(needle)
+        self.captured
+            .lock()
+            .expect("capture poisoned")
+            .contains(needle)
     }
 
     fn sigkill(&mut self) {
@@ -443,7 +446,11 @@ fn fleet_tuning_flags_validate_before_dialing_and_disabled_hedging_is_inert() {
     ]);
     let err = stderr(&out);
     assert!(out.status.success(), "{err}");
-    assert_eq!(baseline(), stdout(&out), "inert hedging must not change results");
+    assert_eq!(
+        baseline(),
+        stdout(&out),
+        "inert hedging must not change results"
+    );
     assert!(err.contains("0 hedged (0 won)"), "{err}");
 }
 
